@@ -30,11 +30,6 @@ type reason =
   | Spill_io_error
       (** The disk-spilled frontier hit an I/O error; spilled tasks may
           be unreachable, so coverage is partial. *)
-  | Worker_crashed of string
-      (** An exception escaped a worker domain (printed form carried);
-          its in-flight subtree was abandoned. Only reported when the
-          caller opted into degradation — the default contract still
-          re-raises. *)
 
 type coverage = {
   configs_explored : int;  (** Interpreter configurations visited. *)
@@ -52,8 +47,8 @@ type t
     threaded through, so one budget bounds an entire pipeline.
 
     Domain-safe: all mutable cells are atomics, so one budget may be
-    shared by every domain of a parallel exploration
-    ({!Gem_lang.Explore} with [jobs > 1]). Counters use fetch-and-add;
+    shared by every domain of a parallel check ({!Par.map} under
+    [--jobs]). Counters use fetch-and-add;
     the exhaustion verdict is set with a first-reason-wins
     compare-and-set, so concurrent observers agree on a single
     {!reason} and cancellation propagates to all domains through the

@@ -313,7 +313,8 @@ let engine_reduction (e : R.engine) =
    unset GEM_NO_POR, or por=off vs reduction=none) behave identically
    and may share a cache line. The timeout is deliberately absent —
    timeout-bearing requests bypass the caches (their verdicts are
-   wall-clock-dependent). *)
+   wall-clock-dependent) — and so is the job count, which never changes
+   a report: exploration is sequential and checking is order-preserving. *)
 let engine_string (e : R.engine) =
   let reduction = engine_reduction e in
   let por = reduction <> Explore.No_reduction in
@@ -324,8 +325,7 @@ let engine_string (e : R.engine) =
   in
   let opt_int = function Some n -> string_of_int n | None -> "none" in
   Printf.sprintf
-    "por=%b exact=%b jobs=%d batch=%d bitstate=%s maxc=%s maxr=%s reduction=%s"
-    por exact e.R.jobs e.R.batch
+    "por=%b exact=%b bitstate=%s maxc=%s maxr=%s reduction=%s" por exact
     (match e.R.bitstate_bits with Some b -> string_of_int b | None -> "off")
     (opt_int e.R.max_configs) (opt_int e.R.max_runs)
     (Explore.reduction_name reduction)
@@ -376,14 +376,13 @@ let opts_of_engine load (e : R.engine) =
     exact_keys = e.R.exact_keys;
     audit_keys = None;
     jobs = e.R.jobs;
-    batch = e.R.batch;
+    batch = 64;
     resilience =
       {
         Explore.no_resilience with
         Explore.bitstate =
           Option.map (fun bits -> Bitstate.create ~bits ()) e.R.bitstate_bits;
         stamp;
-        degrade_crashes = e.R.bitstate_bits <> None;
       };
   }
 
@@ -398,7 +397,7 @@ type exploration = {
 }
 
 let explore load o ~budget =
-  let { reduction; por; exact_keys; audit_keys; jobs; batch; resilience } = o in
+  let { reduction; por; exact_keys; audit_keys; resilience; _ } = o in
   let of_monitor (x : Monitor.outcome) =
     {
       x_computations = x.Monitor.computations;
@@ -436,8 +435,7 @@ let explore load o ~budget =
   | Rw { monitor; readers; writers; _ } ->
       Some
         (of_monitor
-           (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs ~batch
-              ~resilience
+           (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~resilience
               (Readers_writers.program ~monitor:(rw_monitor monitor) ~readers
                  ~writers)))
   | Buffer { lang; capacity; producers; consumers; items } ->
@@ -445,19 +443,19 @@ let explore load o ~budget =
         (match lang with
         | `Monitor ->
             of_monitor
-              (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs
-                 ~batch ~resilience
+              (Monitor.explore ?reduction ?por ?exact_keys ?audit_keys ~budget
+                 ~resilience
                  (Buffer_problem.monitor_solution ~capacity ~producers
                     ~consumers ~items_each:items))
         | `Csp ->
             of_csp
-              (Csp.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs ~batch
+              (Csp.explore ?reduction ?por ?exact_keys ?audit_keys ~budget
                  ~resilience
                  (Buffer_problem.csp_solution ~capacity ~producers ~consumers
                     ~items_each:items))
         | `Ada ->
             of_ada
-              (Ada.explore ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs ~batch
+              (Ada.explore ?reduction ?por ?exact_keys ?audit_keys ~budget
                  ~resilience
                  (Buffer_problem.ada_solution ~capacity ~producers ~consumers
                     ~items_each:items)))
@@ -472,7 +470,7 @@ let explore load o ~budget =
             in
             of_csp
               (Csp.explore ?reduction ?por ?exact_keys ?audit_keys
-                 ~max_configs:20_000_000 ~budget ~jobs ~batch ~resilience
+                 ~max_configs:20_000_000 ~budget ~resilience
                  program)
         | `Ada ->
             let program =
@@ -482,7 +480,7 @@ let explore load o ~budget =
             in
             of_ada
               (Ada.explore ?reduction ?por ?exact_keys ?audit_keys
-                 ~max_configs:20_000_000 ~budget ~jobs ~batch ~resilience
+                 ~max_configs:20_000_000 ~budget ~resilience
                  program))
   | Db _ | Life _ -> None
 
@@ -645,12 +643,9 @@ let conclude load o ~budget ~restrict exploration =
            ~truncated:x.x_truncated verdicts)
         (List.filter (fun (_, v) -> not (Verdict.ok v)) results)
   | Db { sites }, None ->
-      let { reduction; por; exact_keys; audit_keys; jobs; batch; resilience } =
-        o
-      in
+      let { reduction; por; exact_keys; audit_keys; jobs; resilience; _ } = o in
       let r =
         Db_update.check ?reduction ?por ?exact_keys ?audit_keys ~budget ~jobs
-          ~batch
           ~resilience ~sites ()
       in
       let status =

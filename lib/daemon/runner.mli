@@ -77,7 +77,9 @@ val verdict_key :
     program's initial-configuration fingerprint (where the command
     builds a program), the full workload parameters, the problem spec's
     restriction set plus the client restriction, and the engine
-    configuration with environment defaults resolved. *)
+    configuration with environment defaults resolved. The job count is
+    left out: it only spreads checking over domains and never changes a
+    report. *)
 
 val explore_key : load -> Gem_syntax.Request.engine -> string
 (** {!verdict_key} minus the restriction component — requests that agree
@@ -92,8 +94,10 @@ type opts = {
   por : bool option;
   exact_keys : bool option;
   audit_keys : bool option;
-  jobs : int;
+  jobs : int;  (** Domains that check computations; never changes a report. *)
   batch : int;
+      (** Accepted and ignored. It sized the work chunks of the retired
+          parallel explorer and stays only so existing callers compile. *)
   resilience : Gem_lang.Explore.resilience;
 }
 

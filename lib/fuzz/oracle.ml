@@ -8,24 +8,13 @@ module Budget = Gem_check.Budget
 module Bitstate = Gem_check.Bitstate
 module Check = Gem_check.Check
 
-type cell = {
-  por : bool;
-  jobs : int;
-  exact : bool;
-  bitstate : bool;
-  batch : int;
-  source : bool;
-}
+type cell = { por : bool; exact : bool; bitstate : bool; source : bool }
 
-let baseline =
-  { por = true; jobs = 1; exact = true; bitstate = false; batch = 1; source = false }
+let baseline = { por = true; exact = true; bitstate = false; source = false }
 
-(* The core 24-cell grid runs with batch 1 (per-task chunks, the
-   degenerate scheduler the engine grew out of); the two appended cells
-   exercise the batched scheduler proper at its default chunk size, in
-   both search modes, so every fuzz run differentially tests the chunked
-   deques, per-shard probe batching and domain-local caches against the
-   sequential baseline. *)
+(* {sleep, none} x {exact, fp} x {unbounded, bitstate}, plus one
+   source-DPOR cell. Exploration is sequential, so there is no job-count
+   axis: checking is [Check.holds], which no job count reaches. *)
 let lattice =
   (baseline
   :: List.filter
@@ -33,61 +22,19 @@ let lattice =
        (List.concat_map
           (fun por ->
             List.concat_map
-              (fun jobs ->
-                List.concat_map
-                  (fun exact ->
-                    List.map
-                      (fun bitstate ->
-                        { por; jobs; exact; bitstate; batch = 1; source = false })
-                      [ false; true ])
-                  [ true; false ])
-              [ 1; 2; 8 ])
+              (fun exact ->
+                List.map
+                  (fun bitstate -> { por; exact; bitstate; source = false })
+                  [ false; true ])
+              [ true; false ])
           [ true; false ]))
-  @ [
-      {
-        por = false;
-        jobs = 8;
-        exact = false;
-        bitstate = false;
-        batch = 64;
-        source = false;
-      };
-      {
-        por = true;
-        jobs = 8;
-        exact = false;
-        bitstate = false;
-        batch = 64;
-        source = false;
-      };
-      (* Source-DPOR cells: one sequential, one riding the parallel and
-         batch flags (the engine deliberately ignores them and runs
-         sequentially — the cell checks those knobs cannot corrupt it). *)
-      {
-        por = true;
-        jobs = 1;
-        exact = false;
-        bitstate = false;
-        batch = 1;
-        source = true;
-      };
-      {
-        por = true;
-        jobs = 8;
-        exact = false;
-        bitstate = false;
-        batch = 64;
-        source = true;
-      };
-    ]
+  @ [ { por = true; exact = false; bitstate = false; source = true } ]
 
 let cell_name c =
-  Printf.sprintf "reduction=%s jobs=%d keys=%s seen=%s batch=%d"
+  Printf.sprintf "reduction=%s keys=%s seen=%s"
     (if c.source then "source" else if c.por then "sleep" else "none")
-    c.jobs
     (if c.exact then "exact" else "fp")
     (if c.bitstate then "bitstate" else "unbounded")
-    c.batch
 
 type run = {
   r_completed : string list;  (* canonical fps, sorted: a multiset *)
@@ -123,19 +70,19 @@ let explore_cell ~max_configs c prog =
   | Case.P_csp p ->
       let o =
         Csp.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false ~max_configs
-          ~jobs:c.jobs ~batch:c.batch ~resilience p
+          ~resilience p
       in
       (o.Csp.computations, o.Csp.deadlocks, o.Csp.exhausted, o.Csp.explored)
   | Case.P_monitor p ->
       let o =
-        Monitor.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false
-          ~max_configs ~jobs:c.jobs ~batch:c.batch ~resilience p
+        Monitor.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false ~max_configs
+          ~resilience p
       in
       (o.Monitor.computations, o.Monitor.deadlocks, o.Monitor.exhausted, o.Monitor.explored)
   | Case.P_ada p ->
       let o =
         Ada.explore ?reduction ~por:c.por ~exact_keys:c.exact ~audit_keys:false ~max_configs
-          ~jobs:c.jobs ~batch:c.batch ~resilience p
+          ~resilience p
       in
       (o.Ada.computations, o.Ada.deadlocks, o.Ada.exhausted, o.Ada.explored)
 

@@ -1,35 +1,31 @@
 (** The differential oracle: run one case across the engine-configuration
     lattice and assert agreement.
 
-    The lattice is {plain, sleep-set POR} x {jobs 1, 2, 8} x {fp, exact
-    keys} x {unbounded, bitstate} at batch 1 — 24 cells — plus two
-    batched-scheduler cells (jobs 8, batch 64, fp keys, unbounded seen,
-    POR off and on) and two source-DPOR cells (sequential, and jobs 8 x
-    batch 64 — the source engine ignores both knobs and must stay
-    correct under them), 28 in total. The exact (non-bitstate) cells must
-    produce identical completed/deadlocked computation {e multisets}
-    (canonical fingerprints), identical exhaustion, and identical
-    per-computation verdicts for the case's random restriction. Bitstate
-    cells are lossy by design: they must report exactly
-    [bitstate-collision-risk] (the unconditional clean-sweep downgrade)
-    and their computation/deadlock {e sets} must be a subset of the
-    baseline's — the subset-of-clean soundness contract of PR 6. *)
+    The lattice is {plain, sleep-set POR} x {fp, exact keys} x
+    {unbounded, bitstate} — 8 cells — plus one source-DPOR cell, 9 in
+    total. There is no job-count axis: exploration is sequential, and the
+    oracle checks with [Check.holds], which no job count reaches. The
+    exact (non-bitstate) cells must produce identical completed/deadlocked
+    computation {e multisets} (canonical fingerprints), identical
+    exhaustion, and identical per-computation verdicts for the case's
+    random restriction. Bitstate cells are lossy by design: they must
+    report exactly [bitstate-collision-risk] (the unconditional
+    clean-sweep downgrade) and their computation/deadlock {e sets} must be
+    a subset of the baseline's — the subset-of-clean soundness
+    contract. *)
 
 type cell = {
   por : bool;
-  jobs : int;
   exact : bool;
   bitstate : bool;
-  batch : int;  (** Work-distribution chunk size; 1 = per-task stealing. *)
   source : bool;  (** Use the source-DPOR engine ([--reduction source]). *)
 }
 
 val lattice : cell list
-(** All 28 cells; the head is {!baseline}. *)
+(** All 9 cells; the head is {!baseline}. *)
 
 val baseline : cell
-(** POR on, jobs 1, exact keys, no bitstate, batch 1 — the truth
-    anchor. *)
+(** POR on, exact keys, no bitstate — the truth anchor. *)
 
 val cell_name : cell -> string
 

@@ -57,8 +57,9 @@ val check :
     the reduced search (default {!Gem_lang.Explore.por_default});
     [exact_keys]/[audit_keys] select the search-key mode (defaults
     {!Gem_lang.Explore.exact_keys_default} /
-    {!Gem_lang.Explore.audit_keys_default}). [jobs]
-    parallelizes both exploration and per-computation checking over that
-    many domains (default {!Gem_check.Par.jobs_default} for exploration);
-    the report is identical for every job count unless the budget bites,
-    in which case only the counters may differ. *)
+    {!Gem_lang.Explore.audit_keys_default}). [jobs] checks the
+    computations on that many domains (default
+    {!Gem_check.Par.jobs_default}); exploration is sequential, so the
+    report is identical for every job count. [batch] is accepted and
+    ignored: it sized the work chunks of the parallel explorer, which is
+    gone, and stays only so existing callers keep compiling. *)

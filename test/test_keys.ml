@@ -15,7 +15,7 @@
    audited explorations assert [Fingerprint_collisions = 0], a
    deliberately degenerate constant key proves the audit oracle actually
    fires, and a parity matrix checks byte-identical computation
-   fingerprints across key mode x jobs x POR. *)
+   fingerprints across key mode x reduction engine. *)
 
 module Explore = Gem_lang.Explore
 module Monitor = Gem_lang.Monitor
@@ -104,40 +104,37 @@ let prop_csp_random_partition =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Parity matrix: key mode x jobs x POR, byte-identical outcomes       *)
+(* Parity matrix: key mode x reduction engine, byte-identical outcomes *)
 (* ------------------------------------------------------------------ *)
 
 let test_parity_matrix () =
   let matrix name run =
-    let bc, bd = run ~exact_keys:true ~jobs:1 ~por:true in
+    let bc, bd = run ~exact_keys:true ~reduction:Explore.Sleep_sets in
     List.iter
-      (fun por ->
+      (fun reduction ->
         List.iter
-          (fun jobs ->
-            List.iter
-              (fun exact_keys ->
-                let c, d = run ~exact_keys ~jobs ~por in
-                let leg what =
-                  Printf.sprintf "%s %s (exact=%b jobs=%d por=%b)" name what
-                    exact_keys jobs por
-                in
-                check Alcotest.(list string) (leg "computations") bc c;
-                check Alcotest.(list string) (leg "deadlocks") bd d)
-              [ true; false ])
-          [ 1; 2; 8 ])
-      [ true; false ]
+          (fun exact_keys ->
+            let c, d = run ~exact_keys ~reduction in
+            let leg what =
+              Printf.sprintf "%s %s (exact=%b reduction=%s)" name what exact_keys
+                (Explore.reduction_name reduction)
+            in
+            check Alcotest.(list string) (leg "computations") bc c;
+            check Alcotest.(list string) (leg "deadlocks") bd d)
+          [ true; false ])
+      Explore.[ No_reduction; Sleep_sets; Source_sets ]
   in
   let rw = RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1 in
-  matrix "rw-monitor-1r1w" (fun ~exact_keys ~jobs ~por ->
-      let o = Monitor.explore ~por ~exact_keys ~jobs rw in
+  matrix "rw-monitor-1r1w" (fun ~exact_keys ~reduction ->
+      let o = Monitor.explore ~reduction ~exact_keys rw in
       (fps o.Monitor.computations, fps o.Monitor.deadlocks));
   let csp = Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  matrix "buffer-csp-1p1c2i" (fun ~exact_keys ~jobs ~por ->
-      let o = Csp.explore ~por ~exact_keys ~jobs csp in
+  matrix "buffer-csp-1p1c2i" (fun ~exact_keys ~reduction ->
+      let o = Csp.explore ~reduction ~exact_keys csp in
       (fps o.Csp.computations, fps o.Csp.deadlocks));
   let ada = Buffer_p.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
-  matrix "buffer-ada-1p1c2i" (fun ~exact_keys ~jobs ~por ->
-      let o = Ada.explore ~por ~exact_keys ~jobs ada in
+  matrix "buffer-ada-1p1c2i" (fun ~exact_keys ~reduction ->
+      let o = Ada.explore ~reduction ~exact_keys ada in
       (fps o.Ada.computations, fps o.Ada.deadlocks))
 
 (* Fingerprint and exact keys induce the same partition, so the reduced
@@ -145,13 +142,13 @@ let test_parity_matrix () =
 let test_explored_counts_agree () =
   let rw = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
   let me e =
-    let o = Monitor.explore ~por:true ~exact_keys:e ~jobs:1 rw in
+    let o = Monitor.explore ~por:true ~exact_keys:e rw in
     (o.Monitor.explored, o.Monitor.reduced)
   in
   check Alcotest.(pair int int) "rw-2r1w: counters" (me true) (me false);
   let csp = Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2 in
   let ce e =
-    let o = Csp.explore ~por:true ~exact_keys:e ~jobs:1 csp in
+    let o = Csp.explore ~por:true ~exact_keys:e csp in
     (o.Csp.explored, o.Csp.reduced)
   in
   check Alcotest.(pair int int) "buffer-csp: counters" (ce true) (ce false)
@@ -174,15 +171,15 @@ let with_telemetry f =
 let test_audited_runs_collision_free () =
   with_telemetry (fun () ->
       let rw = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
-      ignore (Monitor.explore ~por:true ~exact_keys:false ~audit_keys:true ~jobs:1 rw);
+      ignore (Monitor.explore ~por:true ~exact_keys:false ~audit_keys:true rw);
       let ada =
         Buffer_p.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
       in
-      ignore (Ada.explore ~por:true ~exact_keys:false ~audit_keys:true ~jobs:1 ada);
+      ignore (Ada.explore ~por:true ~exact_keys:false ~audit_keys:true ada);
       let csp =
         Buffer_p.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2
       in
-      ignore (Csp.explore ~por:true ~exact_keys:false ~audit_keys:true ~jobs:4 csp);
+      ignore (Csp.explore ~por:true ~exact_keys:false ~audit_keys:true csp);
       check Alcotest.int "audited workloads: fingerprint_collisions"
         0
         (T.read T.Fingerprint_collisions))
@@ -231,7 +228,7 @@ let () =
         ] );
       ( "parity",
         [
-          Alcotest.test_case "matrix: mode x jobs x por" `Quick test_parity_matrix;
+          Alcotest.test_case "matrix: mode x reduction" `Quick test_parity_matrix;
           Alcotest.test_case "explored counts agree" `Quick
             test_explored_counts_agree;
         ] );

@@ -1,128 +1,138 @@
-(* Differential parity suite for domain-parallel exploration: every
-   lib/problems workload explored at jobs in {1, 2, 8} must produce
-   identical completed/deadlocked fingerprint multisets, the same
-   exhaustion status, and byte-identical rendered verdicts as the
-   sequential walk — with POR on and with it off. Parallel traversal
-   order is scheduler-dependent, so these assertions are exactly the
-   determinism contract of Explore.run's canonical merge: sorted leaves
-   (canonical key) and fingerprint-sorted deduplication make the
-   verdict-relevant outcome independent of who explored what.
+(* Parity suite for parallel checking. Exploration is one sequential walk
+   per reduction engine; --jobs only spreads the checking of the explored
+   computations over domains (Par.map inside Check, Refine and
+   Db_update). So for every lib/problems workload and every reduction
+   engine, jobs 1, 2 and 8 must give:
 
-   qcheck extends the evidence to random loop-free CSP programs, reusing
-   the generators of the fuzzing library (Gem_fuzz.Gen).
+   - the same rendered verdict (the [--json] report and every failing
+     verdict, witness included);
+   - equal exploration counters (configs_explored, configs_reduced,
+     memo_hits, sleep_prunes, source_prunes) — not merely the same
+     verdict-relevant content.
 
-   The explored/reduced counters are NOT compared across job counts:
-   domains race to claim states, so duplicate claims (counted in
-   explored) and prune opportunities (counted in reduced) legitimately
-   differ from run to run. Only the verdict-relevant content is stable. *)
+   The remaining groups cover Par.map itself (order preservation,
+   failure propagation, GEM_JOBS defaulting) and the checking stage on
+   random CSP programs (qcheck, reusing Gem_fuzz.Gen). *)
 
 module Explore = Gem_lang.Explore
 module Monitor = Gem_lang.Monitor
 module Csp = Gem_lang.Csp
-module Ada = Gem_lang.Ada
 module RW = Gem_problems.Readers_writers
 module Buffer = Gem_problems.Buffer
-module Rwd = Gem_problems.Rw_distributed
-module Db = Gem_problems.Db_update
 module Budget = Gem_check.Budget
+module Check = Gem_check.Check
 module Par = Gem_check.Par
 module Refine = Gem_check.Refine
 module Verdict = Gem_check.Verdict
 module Strategy = Gem_check.Strategy
+module Request = Gem_syntax.Request
+module Runner = Gem_daemon.Runner
+module T = Gem_obs.Telemetry
 module Gen_csp = Gem_fuzz.Gen
 
 let check = Alcotest.check
 let strategy = Strategy.Linearizations (Some 200)
 let job_counts = [ 2; 8 ]
 
-(* Sorted fingerprint multiset of a list of computations. *)
-let fps comps = List.sort compare (List.map Explore.fingerprint comps)
-let reason_opt = Option.map Budget.reason_keyword
-
 (* ------------------------------------------------------------------ *)
-(* Workload parity: jobs in {2, 8} vs sequential, POR on and off       *)
+(* Workload parity: reduction engine x jobs {1, 2, 8}                  *)
 (* ------------------------------------------------------------------ *)
 
-let assert_parity name run =
+let reductions =
+  [ Request.Reduction_none; Request.Reduction_sleep; Request.Reduction_source ]
+
+let counters =
+  T.[ Configs_explored; Configs_reduced; Memo_hits; Sleep_prunes; Source_prunes ]
+
+(* One CLI-equivalent run through the shared runner, with the default
+   run cap and a configuration cap that keeps the cyclic plain-DFS
+   spaces (rwd under --reduction none) small; a budget cut must be just
+   as job-independent as a complete run. *)
+let observe load reduction jobs =
+  let opts =
+    Runner.opts_of_engine load
+      { Request.default_engine with reduction = Some reduction; jobs }
+  in
+  T.reset ();
+  T.enable ();
+  let r =
+    Fun.protect ~finally:T.disable (fun () ->
+        Runner.run load opts
+          ~budget:(Budget.make ~max_configs:20_000 ())
+          ~restrict:None)
+  in
+  let rendered =
+    String.concat "\n"
+      (Runner.render_json ~command:(Runner.command_name load) r
+      :: List.map
+           (fun (i, v) -> Format.asprintf "%d %a" i (Verdict.pp None) v)
+           r.Runner.failures)
+  in
+  (rendered, List.map (fun c -> (T.counter_name c, T.read c)) counters)
+
+let assert_parity name load =
   List.iter
-    (fun por ->
-      let c1, d1, x1 = run ~por ~jobs:1 in
+    (fun reduction ->
+      let base_verdict, base_counters = observe load reduction 1 in
       List.iter
         (fun jobs ->
-          let cn, dn, xn = run ~por ~jobs in
+          let verdict, counters = observe load reduction jobs in
           let tag =
-            Printf.sprintf "%s por=%b jobs=%d" name por jobs
+            Printf.sprintf "%s reduction=%s jobs=%d" name
+              (Request.reduction_to_string reduction)
+              jobs
           in
-          check Alcotest.(list string) (tag ^ ": completed multiset") (fps c1) (fps cn);
-          check Alcotest.(list string) (tag ^ ": deadlock multiset") (fps d1) (fps dn);
+          check Alcotest.string (tag ^ ": rendered verdict") base_verdict verdict;
           check
-            Alcotest.(option string)
-            (tag ^ ": exhaustion") (reason_opt x1) (reason_opt xn))
+            Alcotest.(list (pair string int))
+            (tag ^ ": exploration counters") base_counters counters)
         job_counts)
-    [ true; false ]
+    reductions
 
-let mon_parity name prog =
-  assert_parity name (fun ~por ~jobs ->
-      let o = Monitor.explore ~por ~jobs prog in
-      (o.Monitor.computations, o.Monitor.deadlocks, o.Monitor.exhausted))
+let rw monitor ~readers ~writers =
+  Runner.Rw { monitor; version = RW.Readers_priority; readers; writers }
 
-let csp_parity name prog =
-  assert_parity name (fun ~por ~jobs ->
-      let o = Csp.explore ~por ~jobs prog in
-      (o.Csp.computations, o.Csp.deadlocks, o.Csp.exhausted))
-
-let ada_parity name prog =
-  assert_parity name (fun ~por ~jobs ->
-      let o = Ada.explore ~por ~jobs prog in
-      (o.Ada.computations, o.Ada.deadlocks, o.Ada.exhausted))
+let buffer lang ~capacity ~producers ~consumers ~items =
+  Runner.Buffer { lang; capacity; producers; consumers; items }
 
 let test_rw_monitor_workloads () =
-  mon_parity "rw-paper-1r1w" (RW.program ~monitor:RW.paper_monitor ~readers:1 ~writers:1);
-  mon_parity "rw-no-exclusion-2r1w"
-    (RW.program ~monitor:RW.no_exclusion_monitor ~readers:2 ~writers:1);
-  mon_parity "rw-buggy-1r2w" (RW.program ~monitor:RW.buggy_monitor ~readers:1 ~writers:2)
+  assert_parity "rw-paper-1r1w" (rw "paper" ~readers:1 ~writers:1);
+  assert_parity "rw-no-exclusion-1r1w" (rw "no-exclusion" ~readers:1 ~writers:1)
 
 let test_buffer_workloads () =
-  mon_parity "buffer-monitor-1p1c2i"
-    (Buffer.monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2);
-  mon_parity "buffer-buggy-monitor-1p1c2i"
-    (Buffer.buggy_monitor_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2);
-  csp_parity "buffer-csp-1p1c2i"
-    (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2);
-  ada_parity "buffer-ada-1p1c2i"
-    (Buffer.ada_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)
+  assert_parity "buffer-monitor-c1p1c1i2"
+    (buffer `Monitor ~capacity:1 ~producers:1 ~consumers:1 ~items:2);
+  assert_parity "buffer-csp-c1p1c1i2"
+    (buffer `Csp ~capacity:1 ~producers:1 ~consumers:1 ~items:2);
+  (* The case the retired parallel explorer got wrong: at jobs 2 its
+     racing sleep-set walk counted different memo hits. *)
+  assert_parity "buffer-ada-c1p2c2i1"
+    (buffer `Ada ~capacity:1 ~producers:2 ~consumers:2 ~items:1)
 
 let test_distributed_workloads () =
-  csp_parity "rwd-csp-1r1w" (Rwd.csp_program ~readers:1 ~writers:1);
-  csp_parity "rwd-csp-no-priority-1r1w"
-    (Rwd.csp_program_no_priority ~readers:1 ~writers:1);
-  csp_parity "db-update-2-sites" (Db.program ~sites:2)
-
-(* The Db_update report aggregates exploration and parallel per-computation
-   checking; the whole record must be jobs-independent. *)
-let test_db_report_parity () =
-  let base = Db.check ~jobs:1 ~sites:2 () in
   List.iter
-    (fun jobs ->
-      let r = Db.check ~jobs ~sites:2 () in
-      let tag = Printf.sprintf "db jobs=%d" jobs in
-      check Alcotest.int (tag ^ ": computations") base.Db.computations r.Db.computations;
-      check Alcotest.int (tag ^ ": deadlocks") base.Db.deadlocks r.Db.deadlocks;
-      check Alcotest.bool (tag ^ ": converges") base.Db.converges r.Db.converges;
-      check
-        Alcotest.(option string)
-        (tag ^ ": exhaustion") (reason_opt base.Db.exhausted) (reason_opt r.Db.exhausted))
-    job_counts
+    (fun (lang, lname) ->
+      List.iter
+        (fun broken ->
+          assert_parity
+            (Printf.sprintf "rwd-%s-1r1w broken=%b" lname broken)
+            (Runner.Rwd { lang; readers = 1; writers = 1; broken }))
+        [ false; true ])
+    [ (`Csp, "csp"); (`Ada, "ada") ];
+  assert_parity "life-3x3x1"
+    (Runner.Life { width = 3; height = 3; generations = 1 })
+
+let test_db_report_parity () = assert_parity "db-2" (Runner.Db { sites = 2 })
 
 (* ------------------------------------------------------------------ *)
-(* Byte-identical rendered verdicts                                    *)
+(* Byte-identical rendered verdicts from the checking stage             *)
 (* ------------------------------------------------------------------ *)
 
 (* Render verdicts in the order the interpreter returned the computations:
    unlike test_por's harness this does NOT re-sort, so it checks the
-   canonical-ordering guarantee of the outcome itself, and it also runs
-   the checking stage parallel (Refine.sat ~jobs) to cover Par.map's
-   order preservation. *)
+   canonical-ordering guarantee of the outcome itself, and it runs the
+   checking stage parallel (Refine.sat ~jobs) to cover Par.map's order
+   preservation. *)
 let render ~jobs ~problem ~map ?edges comps =
   let verdicts = Refine.sat ~strategy ~jobs ?edges ~problem ~map comps in
   String.concat "\n"
@@ -135,12 +145,11 @@ let render ~jobs ~problem ~map ?edges comps =
 
 let test_verdicts_byte_identical () =
   let rw_case name monitor version ~readers ~writers =
-    let prog = RW.program ~monitor ~readers ~writers in
+    let o = Monitor.explore (RW.program ~monitor ~readers ~writers) in
+    let comps = o.Monitor.computations in
     let problem = RW.spec version ~users:(RW.user_names ~readers ~writers) in
     let rendered jobs =
-      let o = Monitor.explore ~jobs prog in
-      render ~jobs ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
-        o.Monitor.computations
+      render ~jobs ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence comps
     in
     let base = rendered 1 in
     List.iter
@@ -154,13 +163,14 @@ let test_verdicts_byte_identical () =
     ~writers:1;
   rw_case "rw-no-exclusion-falsified" RW.no_exclusion_monitor RW.Free_for_all
     ~readers:2 ~writers:1;
+  let comps =
+    (Csp.explore
+       (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2))
+      .Csp.computations
+  in
   let buffer_rendered jobs =
-    let o =
-      Csp.explore ~jobs
-        (Buffer.csp_solution ~capacity:1 ~producers:1 ~consumers:1 ~items_each:2)
-    in
     render ~jobs ~problem:(Buffer.spec ~capacity:1) ~map:Buffer.csp_correspondence
-      o.Csp.computations
+      comps
   in
   let base = buffer_rendered 1 in
   List.iter
@@ -171,26 +181,22 @@ let test_verdicts_byte_identical () =
     job_counts
 
 (* Regression for the latent nondeterminism the canonical merge fixed:
-   two runs of the SAME configuration (sequential included) must render
-   the same bytes — completed/deadlocked leaves are sorted by canonical
-   key and deduplication is fingerprint-sorted, so nothing about
-   traversal order can leak into reports. *)
+   two runs of the SAME configuration must render the same bytes —
+   completed/deadlocked leaves are sorted by canonical key and
+   deduplication is fingerprint-sorted, so nothing about traversal order
+   can leak into reports. *)
 let test_sequential_runs_identical () =
   let prog = RW.program ~monitor:RW.paper_monitor ~readers:2 ~writers:1 in
   let problem = RW.spec RW.Readers_priority ~users:(RW.user_names ~readers:2 ~writers:1) in
-  let rendered () =
-    let o = Monitor.explore ~jobs:1 prog in
-    render ~jobs:1 ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
+  let rendered jobs =
+    let o = Monitor.explore prog in
+    render ~jobs ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
       o.Monitor.computations
   in
-  check Alcotest.string "two sequential runs render identically" (rendered ())
-    (rendered ());
-  let par () =
-    let o = Monitor.explore ~jobs:8 prog in
-    render ~jobs:1 ~edges:Refine.Actor_paths ~problem ~map:RW.correspondence
-      o.Monitor.computations
-  in
-  check Alcotest.string "two jobs=8 runs render identically" (par ()) (par ())
+  check Alcotest.string "two sequential runs render identically" (rendered 1)
+    (rendered 1);
+  check Alcotest.string "two jobs=8 checks render identically" (rendered 8)
+    (rendered 8)
 
 (* ------------------------------------------------------------------ *)
 (* Par.map: ordering, failure propagation, job-count defaulting        *)
@@ -243,21 +249,20 @@ let test_jobs_default_env () =
 (* Random loop-free CSP programs (qcheck)                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Checking a random program's computations against its language spec
+   gives the same verdict list at every job count. *)
 let prop_csp_random_parallel_parity =
   QCheck.Test.make ~name:"random CSP: jobs in {2,8} agree with sequential"
     ~count:40 Gen_csp.prog_arb (fun prog ->
-      List.for_all
-        (fun por ->
-          let base = Csp.explore ~por ~jobs:1 prog in
-          List.for_all
-            (fun jobs ->
-              let o = Csp.explore ~por ~jobs prog in
-              fps o.Csp.computations = fps base.Csp.computations
-              && fps o.Csp.deadlocks = fps base.Csp.deadlocks
-              && o.Csp.exhausted = None
-              && base.Csp.exhausted = None)
-            job_counts)
-        [ true; false ])
+      let spec = Csp.language_spec prog in
+      let rendered jobs =
+        List.map
+          (fun v -> Format.asprintf "%a" (Verdict.pp None) v)
+          (Check.check_all ~strategy ~jobs spec
+             (Csp.explore prog).Csp.computations)
+      in
+      let base = rendered 1 in
+      List.for_all (fun jobs -> rendered jobs = base) job_counts)
 
 let () =
   let to_alc = QCheck_alcotest.to_alcotest in

@@ -5,8 +5,8 @@
    may lose coverage, none may fabricate it:
 
    - bitstate runs must find exactly the computations of an exact run
-     on workloads that fit exactly (parity matrix: jobs in {1,2,8},
-     POR on and off), and must always finish Inconclusive
+     on workloads that fit exactly (parity matrix: POR on and off),
+     and must always finish Inconclusive
      (Bitstate_collision_risk) rather than Verified;
    - spilling must be invisible to the exploration order (LIFO parity),
      and a spill I/O failure must degrade to Spill_io_error, never a
@@ -18,9 +18,8 @@
      computations found are always a subset of the clean run's, any
      strict loss is reported as exhaustion, and every injected fault is
      survived;
-   - a worker domain crash under [degrade_crashes] cancels the run with
-     Worker_crashed instead of wedging the termination protocol, and a
-     domain that fails to start is absorbed by the remaining workers. *)
+   - an exception escaping the interpreter's move function propagates
+     out of the walk instead of being swallowed. *)
 
 module Explore = Gem_lang.Explore
 module Csp = Gem_lang.Csp
@@ -320,30 +319,27 @@ let bitstate_res () =
 let bitstate_parity name prog =
   List.iter
     (fun por ->
-      let base = Csp.explore ~por ~jobs:1 prog in
+      let base = Csp.explore ~por prog in
       check Alcotest.(option string)
         (Printf.sprintf "%s por=%b: exact baseline is clean" name por)
         None (reason_opt base.Csp.exhausted);
-      List.iter
-        (fun jobs ->
-          let o = Csp.explore ~por ~jobs ~resilience:(bitstate_res ()) prog in
-          let tag = Printf.sprintf "%s por=%b jobs=%d bitstate" name por jobs in
-          check
-            Alcotest.(list string)
-            (tag ^ ": computation set")
-            (fpset base.Csp.computations)
-            (fpset o.Csp.computations);
-          check
-            Alcotest.(list string)
-            (tag ^ ": deadlock set")
-            (fpset base.Csp.deadlocks)
-            (fpset o.Csp.deadlocks);
-          check
-            Alcotest.(option string)
-            (tag ^ ": Verified downgraded")
-            (Some "bitstate-collision-risk")
-            (reason_opt o.Csp.exhausted))
-        [ 1; 2; 8 ])
+      let o = Csp.explore ~por ~resilience:(bitstate_res ()) prog in
+      let tag = Printf.sprintf "%s por=%b bitstate" name por in
+      check
+        Alcotest.(list string)
+        (tag ^ ": computation set")
+        (fpset base.Csp.computations)
+        (fpset o.Csp.computations);
+      check
+        Alcotest.(list string)
+        (tag ^ ": deadlock set")
+        (fpset base.Csp.deadlocks)
+        (fpset o.Csp.deadlocks);
+      check
+        Alcotest.(option string)
+        (tag ^ ": Verified downgraded")
+        (Some "bitstate-collision-risk")
+        (reason_opt o.Csp.exhausted))
     [ true; false ]
 
 let test_bitstate_parity_matrix () =
@@ -359,7 +355,7 @@ let test_bitstate_saturated_run_is_inconclusive () =
       bitstate = Some (Bitstate.create ~shards:1 ~bits:8 ())
     }
   in
-  let o = Csp.explore ~jobs:1 ~resilience:res (Db.program ~sites:3) in
+  let o = Csp.explore ~resilience:res (Db.program ~sites:3) in
   check Alcotest.(option string) "inconclusive"
     (Some "bitstate-collision-risk")
     (reason_opt o.Csp.exhausted);
@@ -376,9 +372,9 @@ let test_spool_engine_parity () =
      design, so under GEM_REDUCTION=source an unpinned baseline would
      count source configurations against a sleep spool run. *)
   let prog = Db.program ~sites:3 in
-  let base = Csp.explore ~reduction:Explore.Sleep_sets ~jobs:1 prog in
+  let base = Csp.explore ~reduction:Explore.Sleep_sets prog in
   let res = { Explore.no_resilience with spool = Some aggressive } in
-  let o = Csp.explore ~reduction:Explore.Sleep_sets ~jobs:1 ~resilience:res prog in
+  let o = Csp.explore ~reduction:Explore.Sleep_sets ~resilience:res prog in
   check Alcotest.(list string) "computations" (fpset base.Csp.computations)
     (fpset o.Csp.computations);
   check Alcotest.(list string) "deadlocks" (fpset base.Csp.deadlocks)
@@ -394,12 +390,12 @@ let test_spool_engine_fault_is_inconclusive () =
       T.reset ();
       arm_exn "3:1:spill-io";
       let res = { Explore.no_resilience with spool = Some aggressive } in
-      let o = Csp.explore ~jobs:1 ~resilience:res (Db.program ~sites:3) in
+      let o = Csp.explore ~resilience:res (Db.program ~sites:3) in
       check Alcotest.(option string) "degrades to spill-io-error"
         (Some "spill-io-error")
         (reason_opt o.Csp.exhausted);
       check Alcotest.bool "found only real computations" true
-        (let clean = fpset (Csp.explore ~jobs:1 (Db.program ~sites:3)).Csp.computations in
+        (let clean = fpset (Csp.explore (Db.program ~sites:3)).Csp.computations in
          List.for_all (fun fp -> List.mem fp clean) (fpset o.Csp.computations));
       check Alcotest.int "every injected fault survived" (T.read T.Faults_injected)
         (T.read T.Faults_survived);
@@ -420,12 +416,12 @@ let test_resume_reaches_identical_verdict () =
       List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ ck_a; ck_b ])
     (fun () ->
       (* Uninterrupted run through the same (checkpointing) engine. *)
-      let full = Csp.explore ~jobs:1 ~resilience:(stamp_res ck_a) prog in
+      let full = Csp.explore ~resilience:(stamp_res ck_a) prog in
       check Alcotest.(option string) "uninterrupted run is clean" None
         (reason_opt full.Csp.exhausted);
       (* Interrupted: stop on a config budget aligned with [every]. *)
       let cut =
-        Csp.explore ~jobs:1 ~max_configs:2000 ~resilience:(stamp_res ck_b) prog
+        Csp.explore ~max_configs:2000 ~resilience:(stamp_res ck_b) prog
       in
       check Alcotest.(option string) "interrupted run reports the budget"
         (Some "config-budget")
@@ -433,7 +429,7 @@ let test_resume_reaches_identical_verdict () =
       check Alcotest.bool "checkpoint file exists" true (Sys.file_exists ck_b);
       (* Resumed: must reproduce the uninterrupted run exactly. *)
       let resumed =
-        Csp.explore ~jobs:1
+        Csp.explore
           ~resilience:{ (stamp_res ck_b) with resume = Some ck_b }
           prog
       in
@@ -471,66 +467,35 @@ let test_resume_refuses_foreign_stamp () =
         }
       in
       ignore
-        (Csp.explore ~jobs:1 ~max_configs:2000 ~resilience:(res "run/db3")
+        (Csp.explore ~max_configs:2000 ~resilience:(res "run/db3")
            (Db.program ~sites:3));
       check Alcotest.bool "checkpoint written" true (Sys.file_exists ck);
       check Alcotest.bool "foreign stamp refused" true
         (try
            ignore
-             (Csp.explore ~jobs:1
+             (Csp.explore
                 ~resilience:{ (res "run/db4") with resume = Some ck }
                 (Db.program ~sites:4));
            false
          with Explore.Resume_error _ -> true))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel teardown under crashes                                     *)
+(* Teardown under crashes                                              *)
 (* ------------------------------------------------------------------ *)
 
 exception Boom
 
 (* A synthetic 512-leaf binary tree with one poisoned interior node:
-   moves from node 37 raise. Reachable from the root, deep enough that
-   all workers are busy when the crash lands. *)
+   moves from node 37 raise. *)
 let tree_moves c = if c = 37 then raise Boom else if c >= 512 then [] else [ (2 * c); (2 * c) + 1 ]
 let tree_done c = c >= 512
 
-let test_worker_crash_degrades () =
-  let res = { Explore.no_resilience with degrade_crashes = true } in
-  let r =
-    Explore.run ~jobs:8 ~resilience:res ~moves:tree_moves ~terminated:tree_done 1
-  in
-  match r.Explore.exhausted with
-  | Some (Budget.Worker_crashed msg) ->
-      check Alcotest.bool "crash message names the exception" true
-        (String.length msg > 0)
-  | other ->
-      Alcotest.failf "expected Worker_crashed, got %s"
-        (Option.value ~default:"clean" (reason_opt other))
-
 let test_worker_crash_reraises_by_default () =
-  check Alcotest.bool "default propagates the worker exception" true
+  check Alcotest.bool "the interpreter's exception propagates" true
     (try
-       ignore (Explore.run ~jobs:8 ~moves:tree_moves ~terminated:tree_done 1);
+       ignore (Explore.run ~moves:tree_moves ~terminated:tree_done 1);
        false
      with Boom -> true)
-
-let test_domain_start_fault_absorbed () =
-  with_disarmed (fun () ->
-      T.reset ();
-      arm_exn "9:1:domain-start";
-      (* Engine pinned to sleep: the source engine is sequential, so
-         under GEM_REDUCTION=source --jobs would never start a domain
-         and the domain-start fault point could not fire. *)
-      let prog = Db.program ~sites:2 in
-      let base = Csp.explore ~reduction:Explore.Sleep_sets ~jobs:1 prog in
-      let o = Csp.explore ~reduction:Explore.Sleep_sets ~jobs:8 prog in
-      check Alcotest.(list string) "main worker absorbs the whole walk"
-        (fpset base.Csp.computations) (fpset o.Csp.computations);
-      check Alcotest.(option string) "run is clean" None (reason_opt o.Csp.exhausted);
-      check Alcotest.bool "spawn faults fired" true (T.read T.Faults_injected > 0);
-      check Alcotest.int "all survived" (T.read T.Faults_injected)
-        (T.read T.Faults_survived))
 
 (* ------------------------------------------------------------------ *)
 (* Random CSP programs under injected faults (qcheck)                  *)
@@ -540,7 +505,7 @@ let prop_faulted_runs_sound =
   QCheck.Test.make
     ~name:"random CSP under GEM_FAULT: subset of clean, loss reported, faults survived"
     ~count:30 Gen_csp.prog_arb (fun prog ->
-      let clean = Csp.explore ~jobs:1 prog in
+      let clean = Csp.explore prog in
       QCheck.assume (clean.Csp.exhausted = None);
       let clean_comps = fpset clean.Csp.computations in
       let clean_dead = fpset clean.Csp.deadlocks in
@@ -555,7 +520,7 @@ let prop_faulted_runs_sound =
                   spool = Some (Spool.policy ~chunk:4 ~watermark_mb:0 ())
                 }
               in
-              let o = Csp.explore ~jobs:1 ~resilience:res prog in
+              let o = Csp.explore ~resilience:res prog in
               let comps = fpset o.Csp.computations in
               let dead = fpset o.Csp.deadlocks in
               let subset xs ys = List.for_all (fun x -> List.mem x ys) xs in
@@ -626,11 +591,8 @@ let () =
         ] );
       ( "par-teardown",
         [
-          Alcotest.test_case "crash degrades" `Quick test_worker_crash_degrades;
           Alcotest.test_case "crash re-raises by default" `Quick
             test_worker_crash_reraises_by_default;
-          Alcotest.test_case "domain-start fault absorbed" `Quick
-            test_domain_start_fault_absorbed;
         ] );
       ("random-faulted", [ to_alc prop_faulted_runs_sound ]);
     ]

@@ -194,7 +194,6 @@ let test_request_roundtrip () =
              por = Some false;
              exact_keys = Some true;
              jobs = 4;
-             batch = 128;
              bitstate_bits = Some 20;
              timeout = Some 1.5;
              max_configs = Some 100;
@@ -216,7 +215,7 @@ let test_request_roundtrip () =
 
 let test_request_canonical () =
   (* Workload keys come out sorted; defaults are omitted. *)
-  match R.parse "check rw writers=1 readers=2 por=off jobs=1 batch=64" with
+  match R.parse "check rw writers=1 readers=2 por=off jobs=1" with
   | Error e -> Alcotest.fail e
   | Ok r ->
       check Alcotest.string "canonical line" "check rw readers=2 writers=1 por=off"
@@ -249,7 +248,6 @@ let test_request_errors () =
   bad "check rw jobs=0" "positive integer";
   bad "check rw jobs=-1" "positive integer";
   bad "check rw jobs=abc" "positive integer";
-  bad "check rw batch=0" "positive integer";
   bad "check rw bitstate=nope" "positive integer";
   bad "check rw timeout=0" "timeout expects positive seconds";
   bad "check rw timeout=-1" "timeout expects positive seconds";
@@ -326,8 +324,6 @@ let test_verdict_key_sensitivity () =
               R.exact_keys = Some (not (Explore.exact_keys_default ()));
             }
           (rw ()) );
-      ("jobs", key ~engine:{ deft with R.jobs = 2 } (rw ()));
-      ("batch", key ~engine:{ deft with R.batch = 128 } (rw ()));
       ("bitstate", key ~engine:{ deft with R.bitstate_bits = Some 16 } (rw ()));
       ( "bitstate bits",
         key ~engine:{ deft with R.bitstate_bits = Some 18 } (rw ()) );
@@ -351,7 +347,11 @@ let test_verdict_key_sensitivity () =
   let keys = base :: List.map snd variants in
   let distinct = List.sort_uniq compare keys in
   check Alcotest.int "all keys pairwise distinct" (List.length keys)
-    (List.length distinct)
+    (List.length distinct);
+  (* The job count only spreads checking over domains and never changes
+     a report, so it must not split the key. *)
+  check Alcotest.string "jobs leaves the key alone" base
+    (key ~engine:{ deft with R.jobs = 2 } (rw ()))
 
 let test_verdict_key_resolves_defaults () =
   (* Spelling the environment default explicitly is the same request —
@@ -393,9 +393,12 @@ let test_verdict_key_resolves_defaults () =
 
 let test_explore_key_sharing () =
   (* The exploration key must ignore exactly the inputs that do not
-     affect the exploration: the client restriction and rw's version
-     (which only picks the problem spec's scheduling restriction). *)
+     affect the exploration: the client restriction, rw's version
+     (which only picks the problem spec's scheduling restriction) and
+     the job count (exploration is sequential). *)
   let base = Runner.explore_key (rw ()) deft in
+  check Alcotest.string "job counts share an exploration" base
+    (Runner.explore_key (rw ()) { deft with R.jobs = 2 });
   check Alcotest.string "versions share an exploration" base
     (Runner.explore_key (rw ~version:Rw_prob.Free_for_all ()) deft);
   check Alcotest.bool "verdict keys still separate versions" false
@@ -411,7 +414,6 @@ let test_explore_key_sharing () =
     [
       ("readers", Runner.explore_key (rw ~readers:2 ()) deft);
       ("monitor", Runner.explore_key (rw ~monitor:"buggy" ()) deft);
-      ("jobs", Runner.explore_key (rw ()) { deft with R.jobs = 2 });
       ( "reduction",
         Runner.explore_key (rw ())
           { deft with R.reduction = Some non_default_reduction } );
@@ -576,11 +578,23 @@ let test_handler_errors () =
   error_reply "check rw por=maybe" "parse:";
   error_reply "check nosuch" "unknown command";
   error_reply "check rw bogus=1" "unknown key";
+  (* The retired chunk-size knob is no engine key any more. *)
+  error_reply "check rw batch=7" "unknown key batch";
   error_reply "check db sites=2 restrict=true" "does not take a restrict";
   (* Junk must never crash the handler. *)
   List.iter
     (fun line -> ignore (Handler.handle h line))
     [ ""; String.make 4096 'x'; "check"; "\x00\x01\x02"; "check rw \"" ]
+
+(* The job count is not part of the cache key: a request that differs
+   only in jobs= is a cache hit with the very same bytes. *)
+let test_handler_jobs_share_cache () =
+  let h = Handler.create ~cache_size:4 () in
+  let h1, b1 = handle_check h "rw readers=1 writers=1 jobs=1" in
+  let h2, b2 = handle_check h "rw readers=1 writers=1 jobs=2" in
+  check Alcotest.string "jobs=1 computes" "miss" (provenance_of h1);
+  check Alcotest.string "jobs=2 is a cache hit" "hit" (provenance_of h2);
+  check Alcotest.string "byte-identical body" b1 b2
 
 let test_handler_timeout_uncached () =
   (* Wall-clock-bounded requests bypass the cache: same request twice,
@@ -830,6 +844,8 @@ let () =
         [
           Alcotest.test_case "ping and stats" `Quick test_handler_ping_stats;
           Alcotest.test_case "error replies" `Quick test_handler_errors;
+          Alcotest.test_case "jobs share a cache line" `Quick
+            test_handler_jobs_share_cache;
           Alcotest.test_case "timeout bypasses cache" `Quick
             test_handler_timeout_uncached;
           Alcotest.test_case "survives fault injection" `Quick
